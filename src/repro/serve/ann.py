@@ -39,7 +39,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .item_index import ItemIndex, TopKIndex, prepare_item_latents
+from .item_index import (ItemIndex, TopKIndex, _exact_top_k,
+                         prepare_item_latents, validate_exclude)
 
 #: Rows per chunk when assigning a large catalogue to centroids; bounds the
 #: transient (chunk × num_clusters) score matrix to a few hundred MB.
@@ -235,13 +236,14 @@ class IVFIndex:
         Same contract as :meth:`ItemIndex.top_k`: rows ordered by descending
         score with ties broken by ascending item index, trailing slots padded
         with item ``-1`` / score ``-inf`` when fewer than ``k`` candidates
-        survive (small ``nprobe`` or ``exclude``), and excluded items never
-        returned.  Scores of surfaced items are computed from the same latent
-        rows with the same inner product as brute force, so an item found by
-        both backends carries the same score in both up to BLAS kernel
-        selection (per-cell GEMV here vs. one batched GEMM there — last-ulp
-        rounding, the same caveat as the repo's other cross-path score
-        comparisons).
+        survive (small ``nprobe`` or ``exclude``), excluded items never
+        returned, and out-of-range ``exclude`` ids and NaN candidate scores
+        refused with :class:`ValueError`.  Scores of surfaced items are
+        computed from the same latent rows with the same inner product as
+        brute force, so an item found by both backends carries the same score
+        in both up to BLAS kernel selection (per-cell GEMV here vs. one
+        batched GEMM there — last-ulp rounding, the same caveat as the repo's
+        other cross-path score comparisons).
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -249,16 +251,8 @@ class IVFIndex:
         if not np.issubdtype(queries.dtype, np.floating):
             queries = queries.astype(np.float64)
         queries = np.atleast_2d(queries)
-        # Same NaN contract as ItemIndex.top_k: a NaN query poisons every
-        # coarse and candidate score, and argpartition/lexsort misorder NaNs
-        # silently, so refuse up front (the query matrix is tiny).
-        if np.isnan(queries).any():
-            raise ValueError(
-                "top_k queries contain NaN; refusing to rank — NaN ordering "
-                "under argpartition/lexsort is silently wrong")
         batch = queries.shape[0]
-        if exclude is not None and len(exclude) != batch:
-            raise ValueError("exclude must hold one sequence per user")
+        banned = validate_exclude(exclude, batch, self.num_items)
         k = min(k, self.num_items)
 
         # One GEMM covers every query's coarse scores, and one batched
@@ -294,48 +288,22 @@ class IVFIndex:
             if cand_scores.dtype != score_dtype:
                 cand_scores = cand_scores.astype(score_dtype)
             cand_ids = np.concatenate(id_blocks)
-            if exclude is not None and len(exclude[row]):
-                keep = ~np.isin(cand_ids,
-                                np.asarray(list(exclude[row]), dtype=np.int64))
+            if banned is not None and banned[row].size:
+                keep = ~np.isin(cand_ids, banned[row])
                 cand_scores, cand_ids = cand_scores[keep], cand_ids[keep]
             if cand_ids.size == 0:
                 continue
-            top_ids, top_scores = _tie_stable_top_k(cand_scores, cand_ids, k)
-            items[row, :top_ids.shape[0]] = top_ids
-            scores[row, :top_scores.shape[0]] = top_scores
+            # The exact backend's one-row path, with catalogue ids breaking
+            # ties (and NaN candidate scores refused) in place of positions.
+            top = _exact_top_k(cand_scores, min(k, cand_ids.size), cand_ids)
+            items[row, :top.size] = cand_ids[top]
+            scores[row, :top.size] = cand_scores[top]
         return items, scores
 
     def __repr__(self) -> str:
         return (f"IVFIndex(items={self.num_items}, dim={self.dim}, "
                 f"clusters={self.num_clusters}, nprobe={self.nprobe}, "
                 f"domain={self.domain!r})")
-
-
-def _tie_stable_top_k(cand_scores: np.ndarray, cand_ids: np.ndarray,
-                      k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-``k`` of a candidate set, ties at the boundary by ascending id.
-
-    The candidate arrays are parallel (``cand_ids[i]`` is the catalogue id of
-    ``cand_scores[i]``); candidate ids arrive in ascending order *within*
-    each probed cell, but not globally, so the boundary tie-break sorts the
-    at-threshold candidates by catalogue id explicitly.  NaN candidate
-    scores (NaN item latents) are rejected, matching ``_exact_top_k``.
-    """
-    if np.isnan(cand_scores).any():
-        raise ValueError("cannot rank scores containing NaN")
-    m = cand_scores.shape[0]
-    if k >= m:
-        selected = np.arange(m)
-    else:
-        partitioned = np.argpartition(cand_scores, m - k)[m - k:]
-        threshold = cand_scores[partitioned].min()
-        above = np.where(cand_scores > threshold)[0]
-        at = np.where(cand_scores == threshold)[0]
-        at = at[np.argsort(cand_ids[at], kind="stable")]
-        selected = np.concatenate([above, at[: k - above.shape[0]]])
-    order = np.lexsort((cand_ids[selected], -cand_scores[selected]))
-    selected = selected[order]
-    return cand_ids[selected], cand_scores[selected]
 
 
 # --------------------------------------------------------------------------- #

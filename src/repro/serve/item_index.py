@@ -10,9 +10,12 @@ sort (``np.argpartition``) instead of ranking the full catalogue.
 
 Tie handling is exact: results are ordered by descending score with ties
 broken by ascending item index, which is precisely the order produced by a
-brute-force stable full ranking.  The partial sort selects the boundary
-items explicitly, so a score tie that straddles the K-th position never
-depends on ``argpartition``'s arbitrary internal ordering.
+brute-force stable full ranking.  :func:`top_k_rows` ranks a whole request
+batch at once and sends the rare row whose K-th boundary is a score tie to
+a scalar path that picks the tied items explicitly, so a tie that straddles
+the K-th position never depends on ``argpartition``'s arbitrary internal
+ordering.  The IVF backend ranks each query's candidates with that same
+scalar path, so both backends share one copy of the tie rule.
 
 Retrieval is *pluggable*: :class:`ItemIndex` is the ``"exact"`` reference
 implementation of the :class:`TopKIndex` protocol; the approximate IVF
@@ -22,7 +25,7 @@ backend (``"ivf"``) and the backend registry live in
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +39,13 @@ except ImportError:  # pragma: no cover - typing_extensions fallback unused
         return cls
 
 from ..core.cdrib import CDRIB
+
+#: Upper bound on the scores :func:`top_k_rows` ranks per chunk of rows.
+#: ``argpartition`` materialises an int64 index array as large as its input,
+#: so ranking a whole (batch × catalogue) matrix at once would double the
+#: score matrix's memory; 2**18 scores cap the transient arrays at a few MB,
+#: while a serving batch (256 users × a few hundred items) is one chunk.
+_TOP_K_CHUNK_ELEMENTS = 1 << 18
 
 
 @runtime_checkable
@@ -131,7 +141,7 @@ class ItemIndex:
 
     def top_k(self, user_latents: np.ndarray, k: int,
               exclude: Optional[list] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` items per user via partial sort.
+        """Top-``k`` items per user, ranked batch-wide by :func:`top_k_rows`.
 
         Parameters
         ----------
@@ -141,14 +151,15 @@ class ItemIndex:
             Number of items to return per user (clamped to the catalogue size).
         exclude:
             Optional per-user sequences of item indices to remove from the
-            candidates (e.g. items the user already interacted with).
+            candidates (e.g. items the user already interacted with).  Every
+            index must lie in ``[0, num_items)`` (:func:`validate_exclude`).
 
         Returns
         -------
         ``(items, scores)`` arrays of shape (batch, k), each row ordered by
         descending score, ties broken by ascending item index — identical to a
         brute-force stable full ranking.  When ``exclude`` leaves a row with
-        fewer than ``k`` candidates, its trailing slots are padded with item
+        fewer than ``k`` candidates, its overflow slots are padded with item
         ``-1`` and score ``-inf``; excluded items are never returned.  The
         score dtype follows the query/index promotion (float32 stays
         float32).
@@ -161,33 +172,23 @@ class ItemIndex:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         score_matrix = self.scores(user_latents)
-        if np.isnan(score_matrix).any():
-            raise ValueError(
-                "top_k scores contain NaN (NaN in user or item latents?); "
-                "refusing to rank — NaN ordering under argpartition/lexsort "
-                "is silently wrong")
-        batch = score_matrix.shape[0]
-        if exclude is not None and len(exclude) != batch:
-            raise ValueError("exclude must hold one sequence per user")
-        k = min(k, self.num_items)
-
-        items = np.empty((batch, k), dtype=np.int64)
-        scores = np.empty((batch, k), dtype=score_matrix.dtype)
-        for row in range(batch):
-            row_scores = score_matrix[row]
-            banned = None
-            if exclude is not None and len(exclude[row]):
-                banned = np.asarray(list(exclude[row]), dtype=np.int64)
-                row_scores = row_scores.copy()
-                row_scores[banned] = -np.inf
-            top_items = _exact_top_k(row_scores, k)
-            top_scores = row_scores[top_items]
-            if banned is not None:
-                overflow = np.isin(top_items, banned)
-                top_items = np.where(overflow, -1, top_items)
-                top_scores = np.where(overflow, -np.inf, top_scores)
-            items[row] = top_items
-            scores[row] = top_scores
+        excluded = validate_exclude(exclude, score_matrix.shape[0],
+                                    self.num_items)
+        banned = None
+        if excluded is not None:
+            rows = np.repeat(np.arange(len(excluded)),
+                             [row.size for row in excluded])
+            banned = (rows, np.concatenate(excluded))
+            # scores() returns a fresh matrix, so banning in place is safe.
+            score_matrix[banned] = -np.inf
+        items = top_k_rows(score_matrix, min(k, self.num_items))
+        scores = np.take_along_axis(score_matrix, items, axis=1)
+        if banned is not None:
+            mask = np.zeros(score_matrix.shape, dtype=bool)
+            mask[banned] = True
+            overflow = np.take_along_axis(mask, items, axis=1)
+            items[overflow] = -1
+            scores[overflow] = -np.inf
         return items, scores
 
 
@@ -208,14 +209,94 @@ def prepare_item_latents(item_latents: np.ndarray) -> np.ndarray:
     return latents
 
 
-def _exact_top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` best scores, ties broken by ascending index.
+def validate_exclude(exclude: Optional[list], batch: int,
+                     num_items: int) -> Optional[List[np.ndarray]]:
+    """Check ``top_k``'s per-user exclusion lists (shared by backends).
 
-    ``np.argpartition`` alone is not tie-stable at the K-th boundary, so the
-    boundary score is resolved explicitly: every item strictly above the
-    threshold is kept, and the remaining slots are filled with the
-    lowest-indexed items *at* the threshold (``np.where`` returns indices in
-    ascending order).  The selected set is then ordered by (-score, index).
+    Returns one int64 array per user, or ``None`` when nothing is excluded.
+    An index outside ``[0, num_items)`` raises :class:`ValueError`: a stray
+    ``-1`` (the padding value of :meth:`TopKIndex.top_k`) would otherwise
+    wrap to the *last* catalogue item under fancy indexing, and any other
+    out-of-range id names no item at all.
+    """
+    if exclude is None:
+        return None
+    if len(exclude) != batch:
+        raise ValueError("exclude must hold one sequence per user")
+    banned = [np.asarray(list(row), dtype=np.int64) for row in exclude]
+    flat = np.concatenate(banned) if banned else np.empty(0, dtype=np.int64)
+    if flat.size == 0:
+        return None
+    if flat.min() < 0 or flat.max() >= num_items:
+        raise ValueError(
+            f"exclude item index out of range (num_items={num_items}); got "
+            f"values in [{flat.min()}, {flat.max()}] — is a -1 padding "
+            f"sentinel leaking into exclude?")
+    return banned
+
+
+def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's ``k`` best scores, in the tie rule's order.
+
+    The exact backend's top-K kernel.  Rows are ordered by descending score
+    with ties broken by ascending column index.  ``k`` must lie in
+    ``[0, scores.shape[1]]``.
+
+    Rows are ranked in chunks of at most :data:`_TOP_K_CHUNK_ELEMENTS`
+    scores.  Per chunk there is one ``argpartition``, one vectorised check
+    that every row's K-th boundary is unambiguous (exactly ``k`` scores are
+    >= the K-th best, so the selected *set* is forced) and one row-wise
+    ``lexsort`` by (-score, index).  A row whose boundary score is shared by
+    more items than there are free slots, or that holds a NaN, goes through
+    the scalar :func:`_exact_top_k` instead, which picks the tied items by
+    ascending index and refuses NaN scores.  So does a chunk of one row (a
+    single request, or a catalogue of more than half the chunk bound),
+    where the batched path costs more: median per call on a 2-core Xeon VM,
+    30-50 vs 16 us at 300 items, 73 vs 28-43 us at 8000, 720 vs 630 us at
+    200k.
+    """
+    batch, n = scores.shape
+    top = np.empty((batch, k), dtype=np.int64)
+    if k == 0:
+        return top
+    rows_per_chunk = max(1, _TOP_K_CHUNK_ELEMENTS // n)
+    for start in range(0, batch, rows_per_chunk):
+        block = scores[start:start + rows_per_chunk]
+        if block.shape[0] == 1:
+            top[start] = _exact_top_k(block[0], k)
+            continue
+        if k < n:
+            part = np.argpartition(block, n - k, axis=1)[:, n - k:]
+            part_scores = np.take_along_axis(block, part, axis=1)
+            # argpartition leaves the K-th best score first in the top part.
+            forced = np.count_nonzero(block >= part_scores[:, :1], axis=1) == k
+        else:
+            part = np.broadcast_to(np.arange(n), block.shape)
+            part_scores = block
+            forced = np.ones(block.shape[0], dtype=bool)
+        # Partitioning sorts NaN above every number, so a row holding a NaN
+        # always has one among its selected scores.
+        scalar = ~forced | np.isnan(part_scores).any(axis=1)
+        order = np.lexsort((part, -part_scores), axis=1)
+        top[start:start + block.shape[0]] = np.take_along_axis(part, order,
+                                                               axis=1)
+        for row in np.flatnonzero(scalar):
+            top[start + row] = _exact_top_k(block[row], k)
+    return top
+
+
+def _exact_top_k(scores: np.ndarray, k: int,
+                 ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """Positions of the ``k`` best of one score row, ties by ascending id.
+
+    The scalar path of :func:`top_k_rows`, and the IVF backend's ranking of
+    each query's candidates, where ``ids`` holds their catalogue ids (it
+    defaults to the positions themselves).  ``np.argpartition`` alone is not
+    tie-stable at the K-th boundary, so when more items share the boundary
+    score than there are slots left, the boundary is resolved explicitly:
+    every item strictly above the threshold is kept, and the remaining slots
+    are filled with the lowest-id items *at* the threshold.  The selected
+    set is then ordered by (-score, id).
 
     NaN scores are rejected: a NaN threshold makes both boundary comparisons
     (``>`` and ``==``) vacuously false, silently shrinking the selection,
@@ -223,17 +304,23 @@ def _exact_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     ``tests/test_serve.py``) is to raise instead.
     """
     if np.isnan(scores).any():
-        raise ValueError("cannot rank scores containing NaN")
+        raise ValueError(
+            "cannot rank scores containing NaN (NaN in user or item "
+            "latents?): argpartition/lexsort order NaN silently wrong")
     n = scores.shape[0]
     if k >= n:
         selected = np.arange(n)
     else:
-        partitioned = np.argpartition(scores, n - k)[n - k:]
-        threshold = scores[partitioned].min()
-        above = np.where(scores > threshold)[0]
-        at = np.where(scores == threshold)[0]
-        selected = np.concatenate([above, at[: k - above.shape[0]]])
-    order = np.lexsort((selected, -scores[selected]))
+        selected = np.argpartition(scores, n - k)[n - k:]
+        threshold = scores[selected[0]]
+        if np.count_nonzero(scores >= threshold) > k:
+            above = np.flatnonzero(scores > threshold)
+            at = np.flatnonzero(scores == threshold)  # ascending positions
+            if ids is not None:
+                at = at[np.argsort(ids[at], kind="stable")]
+            selected = np.concatenate([above, at[: k - above.shape[0]]])
+    selected_ids = selected if ids is None else ids[selected]
+    order = np.lexsort((selected_ids, -scores[selected]))
     return selected[order]
 
 

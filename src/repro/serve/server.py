@@ -11,7 +11,8 @@ Per request batch the server
 1. looks each user up in an LRU latent cache,
 2. encodes all cache misses in a *single* no-grad VBGE pass
    (``CDRIB.encode_users_batch``),
-3. returns top-K items per user via partial sort against the item index.
+3. returns top-K items per user via one batch-wide partial sort against the
+   item index.
 
 User latents are bit-identical to the eval-cache path; scores agree with
 ``CDRIB.cold_start_scores`` up to float rounding (matmul vs. elementwise
@@ -213,11 +214,16 @@ class ColdStartServer:
         self.stats.requests += 1
         self.stats.users_served += int(users.shape[0])
         recommendations = []
-        for row, user in enumerate(users):
-            valid = items[row] >= 0  # drop exclusion padding (see ItemIndex.top_k)
+        # Only rows holding exclusion padding (-1, see ItemIndex.top_k) need a
+        # masked copy; every other row is served as a view of the batch.
+        padded = (items < 0).any(axis=1).tolist()
+        for user, row_items, row_scores, row_padded in zip(
+                users.tolist(), items, scores, padded):
+            if row_padded:
+                valid = row_items >= 0
+                row_items, row_scores = row_items[valid], row_scores[valid]
             recommendations.append(Recommendation(
-                user=int(user), items=items[row][valid], scores=scores[row][valid]
-            ))
+                user=user, items=row_items, scores=row_scores))
         return recommendations
 
     def recommend_one(self, user: int, k: Optional[int] = None) -> Recommendation:
